@@ -10,10 +10,12 @@
 #      suite must be race-free.
 #
 # plus a focused ASan+UBSan stage (-DTURBOBC_SANITIZE=address): the
-# direction-optimizing smoke and the differential fuzz smoke only — the
-# paths that juggle the bitmap buffers, the widened convergence-flag
-# readback, and the oracle's mode cross-checks — so heap errors and UB in
-# the new kernels surface without paying for a third full-suite run.
+# direction-optimizing smoke, the differential fuzz smoke and the simulator's
+# own test binary (test_gpusim) only — the paths that juggle the bitmap
+# buffers, the widened convergence-flag readback, the oracle's mode
+# cross-checks, and the cost model's stack sector buffer, shift and 128-bit
+# L2 line reciprocal — so heap errors and UB surface without paying for a
+# third full-suite run.
 #
 # Usage: ci/check.sh [build-dir-prefix]   (default: build-ci)
 set -euo pipefail
@@ -346,15 +348,19 @@ dobfs_smoke() {
   fi
 }
 
-# Focused ASan+UBSan stage (see file comment): build only the fuzzer and
-# the CLI, then run the two smokes that exercise the DO engine hardest.
+# Focused ASan+UBSan stage (see file comment): build only the fuzzer, the
+# CLI and the simulator tests, then run the two smokes that exercise the DO
+# engine hardest and every test_gpusim case.
 run_asan_stage() {
   local name="asan" dir="${prefix}-asan"
   echo "=== [$name] configure ==="
   cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release -DTURBOBC_SANITIZE=address
   echo "=== [$name] build ==="
-  cmake --build "$dir" -j "$(nproc)" --target turbobc_fuzz turbobc_cli
+  cmake --build "$dir" -j "$(nproc)" --target turbobc_fuzz turbobc_cli \
+    test_gpusim
   dobfs_smoke "$name" "$dir"
+  echo "=== [$name] test-gpusim ==="
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "$dir/tests/test_gpusim"
   echo "=== [$name] fuzz-smoke ==="
   "$dir/src/tools/turbobc_fuzz" --seed 1 --budget 2000 \
     --corpus-dir "$dir/fuzz-failures"

@@ -108,12 +108,17 @@ struct LaunchRecord {
 /// persists across launches like a real cache.
 class CostModel {
  public:
+  /// Throws InvalidArgument unless `props.sector_bytes` is a power of two
+  /// (sectors are computed by shift).
   explicit CostModel(const DeviceProps& props);
 
+  /// Most requests one slot may carry: one per lane of a warp.
+  static constexpr int kMaxSlotLanes = 32;
+
   /// Account one warp memory slot. `accesses` holds the active lanes'
-  /// requests (inactive lanes simply absent). Returns the number of issue
-  /// slots consumed (>= 1; replays for uncoalesced transactions, plus
-  /// serialization for contended atomics).
+  /// requests (at most kMaxSlotLanes; inactive lanes simply absent). Returns
+  /// the number of issue slots consumed (>= 1; replays for uncoalesced
+  /// transactions, plus serialization for contended atomics).
   std::uint64_t process_slot(LaunchRecord& rec, const Access* accesses,
                              int count);
 
@@ -124,17 +129,16 @@ class CostModel {
   ///    transaction counters and issue slots on `rec`, and appends the
   ///    slot's unique sectors (ascending) to `sectors_out`. Touches no L2
   ///    state, so per-warp results are identical no matter which host thread
-  ///    or order computes them.
+  ///    or order computes them, and concurrent calls are safe.
   ///  * replay_sectors — probes the direct-mapped L2 with a sector stream in
   ///    order, splitting transactions into l2_hit/dram on `rec`. Must be
   ///    called in global warp order (warp 0's slots first, then warp 1's, …)
   ///    to reproduce the serial engine's cache timeline bit-for-bit.
   ///
   /// process_slot == coalesce_slot + replay_sectors on the same record.
-  static std::uint64_t coalesce_slot(const DeviceProps& props,
-                                     LaunchRecord& rec, const Access* accesses,
-                                     int count,
-                                     std::vector<std::uint64_t>& sectors_out);
+  std::uint64_t coalesce_slot(LaunchRecord& rec, const Access* accesses,
+                              int count,
+                              std::vector<std::uint64_t>& sectors_out) const;
   void replay_sectors(LaunchRecord& rec, const std::uint64_t* sectors,
                       std::size_t count);
 
@@ -162,10 +166,28 @@ class CostModel {
   const DeviceProps& props() const noexcept { return props_; }
 
  private:
-  bool l2_probe_and_fill(std::uint64_t sector);
+  /// Sector buffer of one slot: each request's first and last sector, plus
+  /// the coalescer's starting entry.
+  static constexpr int kMaxSlotSectors = 2 * kMaxSlotLanes + 1;
+
+  struct Coalesced {
+    int sectors = 0;          // unique sectors written
+    std::uint64_t slots = 0;  // issue slots consumed
+  };
+
+  /// Shared core of process_slot and coalesce_slot: writes the slot's
+  /// unique sectors, ascending, to `sectors` (room for kMaxSlotSectors).
+  Coalesced coalesce(LaunchRecord& rec, const Access* accesses, int count,
+                     std::uint64_t* sectors) const;
+
+  /// sector % l2_tags_.size(), computed from l2_line_reciprocal_.
+  std::size_t l2_line(std::uint64_t sector) const;
 
   DeviceProps props_;
+  int sector_shift_ = 0;                // log2(props_.sector_bytes)
   std::vector<std::uint64_t> l2_tags_;  // direct-mapped, one tag per line
+  /// ceil(2^128 / lines), wrapping to 0 for a single line (Lemire's fastmod).
+  __uint128_t l2_line_reciprocal_ = 0;
 };
 
 }  // namespace turbobc::sim

@@ -174,11 +174,11 @@ namespace detail {
 
 /// Run scalar-kernel warps [warp_begin, warp_end) against `rec`. In serial
 /// mode (`sectors == nullptr`) slots go through the full stateful pipeline
-/// via `cost`; in shard mode the pure half runs, the sector stream is
-/// recorded, and `cost` is not touched (it is shared across shards).
+/// via `cost`; in shard mode only the pure half (`coalesce_slot`) runs and
+/// the sector stream is recorded, since `cost` is shared across shards.
 template <typename Body>
-std::uint64_t run_scalar_warps(const DeviceProps& props, CostModel* cost,
-                               LaunchRecord& rec, std::uint64_t warp_begin,
+std::uint64_t run_scalar_warps(CostModel& cost, LaunchRecord& rec,
+                               std::uint64_t warp_begin,
                                std::uint64_t warp_end, std::uint64_t n_threads,
                                std::vector<std::uint64_t>* sectors,
                                std::vector<DeferredAdd>* deferred,
@@ -211,10 +211,10 @@ std::uint64_t run_scalar_warps(const DeviceProps& props, CostModel* cost,
         }
       }
       if (sectors != nullptr) {
-        warp_slots += CostModel::coalesce_slot(
-            props, rec, scratch.slot_buf.data(), cnt, *sectors);
+        warp_slots +=
+            cost.coalesce_slot(rec, scratch.slot_buf.data(), cnt, *sectors);
       } else {
-        warp_slots += cost->process_slot(rec, scratch.slot_buf.data(), cnt);
+        warp_slots += cost.process_slot(rec, scratch.slot_buf.data(), cnt);
       }
     }
     // Divergent ALU work executes in lockstep: the warp pays the longest
@@ -246,8 +246,8 @@ void launch_scalar(Device& device, std::string_view name,
   if (!detail::use_parallel_engine(policy, rec.warps)) {
     rec.max_warp_slots = std::max(
         rec.max_warp_slots,
-        detail::run_scalar_warps(device.props(), &cost, rec, 0, rec.warps,
-                                 n_threads, nullptr, nullptr, body));
+        detail::run_scalar_warps(cost, rec, 0, rec.warps, n_threads, nullptr,
+                                 nullptr, body));
   } else {
     ExecutorPool& pool = ExecutorPool::instance();
     std::vector<detail::LaunchShard> shards(pool.threads());
@@ -255,8 +255,7 @@ void launch_scalar(Device& device, std::string_view name,
                                    unsigned slot) {
       detail::LaunchShard& sh = shards[slot];
       sh.max_warp_slots = detail::run_scalar_warps(
-          device.props(), &cost, sh.rec, wb, we, n_threads, &sh.sectors,
-          &sh.deferred, body);
+          cost, sh.rec, wb, we, n_threads, &sh.sectors, &sh.deferred, body);
     });
     detail::merge_shards(cost, rec, shards);
   }
@@ -271,19 +270,16 @@ class WarpCtx {
   /// Serial-mode context: slots go through the full stateful cost pipeline.
   WarpCtx(CostModel& cost, LaunchRecord& rec, std::uint64_t warp_id,
           std::uint64_t num_warps)
-      : cost_(&cost),
-        props_(&cost.props()),
-        rec_(&rec),
-        warp_id_(warp_id),
-        num_warps_(num_warps) {}
+      : cost_(&cost), rec_(&rec), warp_id_(warp_id), num_warps_(num_warps) {}
 
-  /// Shard-mode context for the host-parallel engine: pure coalescing only;
-  /// the sector stream and float adds are replayed at merge.
-  WarpCtx(const DeviceProps& props, LaunchRecord& rec,
+  /// Shard-mode context for the host-parallel engine: pure coalescing only
+  /// (`cost` is shared across shards); the sector stream and float adds are
+  /// replayed at merge.
+  WarpCtx(CostModel& cost, LaunchRecord& rec,
           std::vector<std::uint64_t>& sectors,
           std::vector<DeferredAdd>& deferred, std::uint64_t warp_id,
           std::uint64_t num_warps)
-      : props_(&props),
+      : cost_(&cost),
         rec_(&rec),
         sectors_(&sectors),
         deferred_(&deferred),
@@ -293,7 +289,7 @@ class WarpCtx {
   std::uint64_t warp_id() const noexcept { return warp_id_; }
   std::uint64_t num_warps() const noexcept { return num_warps_; }
   std::uint64_t slots() const noexcept { return slots_; }
-  bool concurrent() const noexcept { return cost_ == nullptr; }
+  bool concurrent() const noexcept { return sectors_ != nullptr; }
 
   /// One gather slot: active lanes load buf[idx_fn(lane)].
   template <typename T, typename IdxFn>
@@ -410,12 +406,11 @@ class WarpCtx {
 
  private:
   std::uint64_t account_slot(const Access* acc, int cnt) {
-    if (cost_ != nullptr) return cost_->process_slot(*rec_, acc, cnt);
-    return CostModel::coalesce_slot(*props_, *rec_, acc, cnt, *sectors_);
+    if (sectors_ == nullptr) return cost_->process_slot(*rec_, acc, cnt);
+    return cost_->coalesce_slot(*rec_, acc, cnt, *sectors_);
   }
 
-  CostModel* cost_ = nullptr;
-  const DeviceProps* props_;
+  CostModel* cost_;
   LaunchRecord* rec_;
   std::vector<std::uint64_t>* sectors_ = nullptr;
   std::vector<DeferredAdd>* deferred_ = nullptr;
@@ -446,8 +441,7 @@ void launch_warp(Device& device, std::string_view name, std::uint64_t n_warps,
                                  unsigned slot) {
       detail::LaunchShard& sh = shards[slot];
       for (std::uint64_t w = wb; w < we; ++w) {
-        WarpCtx ctx(device.props(), sh.rec, sh.sectors, sh.deferred, w,
-                    n_warps);
+        WarpCtx ctx(cost, sh.rec, sh.sectors, sh.deferred, w, n_warps);
         body(ctx);
         sh.max_warp_slots = std::max(sh.max_warp_slots, ctx.slots());
       }

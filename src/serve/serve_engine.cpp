@@ -32,6 +32,9 @@ ServeEngine::ServeEngine(graph::EdgeList graph, ServeOptions options)
 bc::TurboBC& ServeEngine::engine() {
   if (!engine_) {
     device_ = std::make_unique<sim::Device>();
+    // Nothing reads per-launch records of a serving device; the per-name
+    // aggregates are enough, and the records would grow with every cone.
+    device_->set_keep_launch_records(false);
     bc::BcOptions opt;
     opt.variant = options_.variant;
     opt.advance = options_.advance;
@@ -191,6 +194,7 @@ approx::ApproxResult ServeEngine::query_approx(double epsilon, double delta,
   // Approx queries run on their own device: the estimator never touches the
   // cached blocks, so the serving cache stays warm across them.
   sim::Device device;
+  device.set_keep_launch_records(false);
   approx::ApproxResult result = approx::run_adaptive(device, graph_, opt);
   note_query(result.device_seconds);
   if (stats != nullptr) stats->device_seconds += result.device_seconds;
