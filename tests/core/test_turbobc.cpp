@@ -7,7 +7,6 @@
 #include "core/footprint.hpp"
 #include "core/turbobc.hpp"
 #include "generators/generators.hpp"
-#include "graph/bfs_probe.hpp"
 
 namespace turbobc::bc {
 namespace {
@@ -67,67 +66,6 @@ TEST_P(TurboBcCorrectness, ExactMatchesBrandesOnSmallGraphs) {
     expect_bc_equal(r.bc, baseline::brandes_bc(*el), "exact");
     EXPECT_EQ(r.sources, el->num_vertices());
   }
-}
-
-TEST_P(TurboBcCorrectness, HandlesDisconnectedGraphs) {
-  // Two components; BC from a source only covers its component (Brandes
-  // handles this by definition; Algorithm 1's sigma>0 guard must too).
-  EdgeList el(10, true);
-  el.add_edge(0, 1);
-  el.add_edge(1, 2);
-  el.add_edge(2, 3);
-  el.add_edge(5, 6);
-  el.add_edge(6, 7);
-  el.symmetrize();
-  sim::Device dev;
-  TurboBC turbo(dev, el, {.variant = GetParam().variant});
-  expect_bc_equal(turbo.run_single_source(0).bc,
-                  baseline::brandes_delta(el, 0), "component A");
-  expect_bc_equal(turbo.run_single_source(5).bc,
-                  baseline::brandes_delta(el, 5), "component B");
-  expect_bc_equal(turbo.run_exact().bc, baseline::brandes_bc(el),
-                  "exact disconnected");
-}
-
-TEST_P(TurboBcCorrectness, PathGraphHasClosedFormBc) {
-  // Path 0-1-2-3-4 (undirected): exact BC of interior vertex i is
-  // (i)(n-1-i) pairs each counted once... with Brandes' halving the ends are
-  // 0 and bc(1)=bc(3)=3, bc(2)=4 for n=5.
-  EdgeList el(5, true);
-  for (vidx_t i = 0; i + 1 < 5; ++i) el.add_edge(i, i + 1);
-  el.symmetrize();
-  sim::Device dev;
-  TurboBC turbo(dev, el, {.variant = GetParam().variant});
-  const auto r = turbo.run_exact();
-  EXPECT_NEAR(r.bc[0], 0.0, 1e-12);
-  EXPECT_NEAR(r.bc[1], 3.0, 1e-12);
-  EXPECT_NEAR(r.bc[2], 4.0, 1e-12);
-  EXPECT_NEAR(r.bc[3], 3.0, 1e-12);
-  EXPECT_NEAR(r.bc[4], 0.0, 1e-12);
-}
-
-TEST_P(TurboBcCorrectness, StarGraphCenterDominates) {
-  EdgeList el(7, true);
-  for (vidx_t i = 1; i < 7; ++i) el.add_edge(0, i);
-  el.symmetrize();
-  sim::Device dev;
-  TurboBC turbo(dev, el, {.variant = GetParam().variant});
-  const auto r = turbo.run_exact();
-  // Center lies on all C(6,2) = 15 pairs.
-  EXPECT_NEAR(r.bc[0], 15.0, 1e-12);
-  for (std::size_t v = 1; v < 7; ++v) EXPECT_NEAR(r.bc[v], 0.0, 1e-12);
-}
-
-TEST_P(TurboBcCorrectness, BfsDepthMatchesReference) {
-  const auto el = gen::small_world({.n = 500, .k = 6, .rewire_p = 0.05,
-                                    .seed = 3});
-  sim::Device dev;
-  TurboBC turbo(dev, el, {.variant = GetParam().variant});
-  const auto r = turbo.run_single_source(17);
-  const auto probe =
-      graph::bfs_reference(graph::CscGraph::from_edges(el), 17);
-  EXPECT_EQ(r.last_source.bfs_depth, probe.height);
-  EXPECT_EQ(r.last_source.reached, probe.reached);
 }
 
 TEST_P(TurboBcCorrectness, DirectedChainDependenciesAreExact) {
